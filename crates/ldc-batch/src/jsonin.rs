@@ -2,7 +2,14 @@
 //! writer ([`ldc_sim::json`]). The workspace builds hermetically (no
 //! serde), so spec files are parsed by this recursive-descent parser:
 //! full RFC 8259 syntax, with numbers restricted to what specs need
-//! (integers and decimal fractions; no exponents).
+//! (integers and decimal fractions; no exponents), and array/object
+//! nesting bounded by [`MAX_DEPTH`].
+
+/// Deepest array/object nesting a document may have. Real specs nest
+/// about 5 deep; the bound keeps a hostile document (say, 200 000 `[`)
+/// from overflowing the recursive parser's stack — it is an error like
+/// any other malformed input.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,7 +33,7 @@ impl Value {
     pub fn parse(text: &str) -> Result<Value, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -141,11 +148,15 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parse one value inside `depth` enclosing arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
+        }
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Value::Bool(false)),
@@ -231,7 +242,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -240,7 +251,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -253,7 +264,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -266,7 +277,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let val = parse_value(bytes, pos)?;
+        let val = parse_value(bytes, pos, depth)?;
         fields.push((key, val));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -351,6 +362,24 @@ mod tests {
             "{\"a\":1}x",
         ] {
             assert!(Value::parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize, open: &str, close: &str| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(Value::parse(&nested(MAX_DEPTH, "[", "]")).is_ok());
+        assert!(Value::parse(&nested(MAX_DEPTH, "{\"a\":", "}")).is_ok());
+        for bad in [
+            nested(MAX_DEPTH + 1, "[", "]"),
+            nested(MAX_DEPTH + 1, "{\"a\":", "}"),
+            // The reported stack-overflow input: unclosed, far past the bound.
+            "[".repeat(200_000),
+        ] {
+            let err = Value::parse(&bad).unwrap_err();
+            assert!(err.contains("nesting deeper than"), "{err}");
         }
     }
 }

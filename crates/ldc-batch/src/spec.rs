@@ -881,6 +881,12 @@ mod tests {
     }
 
     #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        let err = parse_spec_file(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+    }
+
+    #[test]
     fn fault_spec_builds_plan_and_retry() {
         let f = FaultSpec {
             error_milli: 200,

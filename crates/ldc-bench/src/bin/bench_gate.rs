@@ -435,7 +435,7 @@ mod tests {
             },
             Row {
                 workload: "w".into(),
-                mode: "scoped@t8".into(),
+                mode: "pooled@t8".into(),
                 median_secs: 0.09,
             },
         ];

@@ -62,7 +62,6 @@ pub fn run_traced(id: &str, quick: bool) -> Option<(Table, Vec<SpanNode>)> {
         "E15" => e15_edge_coloring(quick),
         "E16" => e16_fault_injection(quick),
         "E17" => e17_fleet(quick),
-        "E20" => e20_service(quick),
         _ => return None,
     };
     Some((table, traces))
@@ -91,9 +90,9 @@ fn capture(tracer: &Tracer, label: String, traces: &mut Vec<SpanNode>) -> SpanNo
 /// All experiment ids in order. (E18/E19 are not `--exp` entries: E18 is
 /// the solver-thread sweep in `benches/solver_throughput.rs`, E19 the
 /// soak matrix behind `ldc soak`.)
-pub const ALL: [&str; 18] = [
+pub const ALL: [&str; 17] = [
     "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15",
-    "E16", "E17", "E20",
+    "E16", "E17",
 ];
 
 // ---------------------------------------------------------------------------
@@ -715,8 +714,8 @@ pub fn e8_slack_transition(quick: bool) -> Table {
 }
 
 /// E9 — simulator throughput (HPC angle): node-steps/s, serial vs the
-/// pooled and scoped parallel executors, plus the no-op-tracer and
-/// enabled-tracer overhead rows.
+/// pooled parallel executor, plus the no-op-tracer and enabled-tracer
+/// overhead rows.
 pub fn e9_simulator_throughput(quick: bool) -> Table {
     let mut t = Table::new(
         "E9",
@@ -730,21 +729,14 @@ pub fn e9_simulator_throughput(quick: bool) -> Table {
     };
     for n in ns {
         let g = generators::gnp(n, 8.0 / n as f64, 31);
-        for (mode, threshold, exec, trace) in [
-            ("serial", usize::MAX, ldc_sim::ExecMode::Sequential, false),
-            ("pooled", 0usize, ldc_sim::ExecMode::Pooled, false),
-            ("scoped", 0usize, ldc_sim::ExecMode::Scoped, false),
-            (
-                "serial+trace",
-                usize::MAX,
-                ldc_sim::ExecMode::Sequential,
-                true,
-            ),
+        for (mode, threshold, trace) in [
+            ("serial", usize::MAX, false),
+            ("pooled", 0usize, false),
+            ("serial+trace", usize::MAX, true),
         ] {
             let mut net = Network::new(&g, Bandwidth::Local);
             net.set_parallel_threshold(threshold);
-            net.set_exec_mode(exec);
-            net.set_threads(ldc_sim::par::default_threads().max(2));
+            net.set_threads(ldc_sim::pool::default_threads().max(2));
             let tracer = if trace {
                 Tracer::new()
             } else {
@@ -786,7 +778,7 @@ pub fn e9_simulator_throughput(quick: bool) -> Table {
         std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
     ));
     t.note("serial runs with the no-op tracer (the default — one branch per round); serial+trace runs with an enabled tracer and an open span, bounding the full tracing overhead.");
-    t.note("pooled dispatches chunk jobs to the persistent worker pool (threads spawned once per process); scoped spawns std::thread::scope workers per phase — the pre-pool behavior, kept as a comparison row.");
+    t.note("pooled dispatches chunk jobs to the persistent worker pool (threads spawned once per process).");
     t
 }
 
@@ -1443,97 +1435,6 @@ pub fn e17_fleet(quick: bool) -> Table {
         ]);
     }
     t.note("Wall-ms and jobs/s are timed, so this table is excluded from the CI byte-diff set; invariance is still asserted per row (the last column byte-compares each stream to the plain 1-shard baseline, across shard widths, solver threads, and the shared kernel cache). Sel/conf hit % are the fleet-wide private cache hit rates — identical in every row because a shared-cache hit only skips recomputation, never a private miss count. Shared hit % is the fleet-shared cache's rate ('-' when disabled); it is scheduling-sensitive at shards > 1. Throughput gains need multiple cores — a single-core host runs every width through a width-1 pool.");
-    t
-}
-
-/// E20 — ldcd service mode under an RPS ramp (DESIGN.md §15). Starts an
-/// in-process daemon on a private socket, drives it with the open-loop
-/// loadgen ramp, and reports per-step completions, busy rejections, and
-/// latency percentiles plus the knee — the first step where the service
-/// stops tracking offered load. Step/rps/requests/errors are pure
-/// functions of the ramp config (errors must be 0 on a healthy host);
-/// everything measured is wall-clock and excluded from byte-diffs, like
-/// E17's timing columns.
-#[cfg(unix)]
-pub fn e20_service(quick: bool) -> Table {
-    use ldc_daemon::loadgen::{run_ramp, LoadgenConfig};
-    use ldc_daemon::server::{serve, ServerConfig};
-    let mut t = Table::new(
-        "E20",
-        "ldcd service mode: offered-load ramp vs completions, busy backpressure, and latency knee",
-        &[
-            "step",
-            "offered rps",
-            "requests",
-            "ok",
-            "busy",
-            "errors",
-            "p50 µs",
-            "p95 µs",
-            "p99 µs",
-        ],
-    );
-    let sock = std::env::temp_dir().join(format!("ldc_e20_{}.sock", std::process::id()));
-    let mut scfg = ServerConfig::new(&sock);
-    scfg.workers = 2;
-    scfg.queue_cap = 32;
-    let handle = serve(scfg).expect("start ldcd for E20");
-    let lcfg = if quick {
-        LoadgenConfig::smoke(&sock)
-    } else {
-        let mut c = LoadgenConfig::new(&sock);
-        c.max_rps = 200;
-        c.increment_rps = 20;
-        c.step_ms = 500;
-        c
-    };
-    let max_rps = lcfg.max_rps;
-    let report = run_ramp(&lcfg).expect("E20 ramp");
-    handle.drain();
-    handle.join().expect("drain ldcd after E20");
-    for s in &report.steps {
-        t.row(vec![
-            s.step.to_string(),
-            s.rps.to_string(),
-            s.requests.to_string(),
-            s.ok.to_string(),
-            s.busy.to_string(),
-            s.errors.to_string(),
-            (s.latency.percentile(50.0) / 1000).to_string(),
-            (s.latency.percentile(95.0) / 1000).to_string(),
-            (s.latency.percentile(99.0) / 1000).to_string(),
-        ]);
-    }
-    match report.knee_rps {
-        Some(rps) => t.note(format!(
-            "Knee at {rps} offered rps: the first step whose p95 crossed the threshold or whose completions fell under the floor. Ok/busy/latency are measured (excluded from CI byte-diffs); step/rps/requests/errors are deterministic and errors must be 0."
-        )),
-        None => t.note(format!(
-            "No knee through {max_rps} offered rps: the daemon tracked every step. Ok/busy/latency are measured (excluded from CI byte-diffs); step/rps/requests/errors are deterministic and errors must be 0."
-        )),
-    }
-    t
-}
-
-/// E20 needs Unix-domain sockets; elsewhere the table documents that.
-#[cfg(not(unix))]
-pub fn e20_service(_quick: bool) -> Table {
-    let mut t = Table::new(
-        "E20",
-        "ldcd service mode: offered-load ramp vs completions, busy backpressure, and latency knee",
-        &[
-            "step",
-            "offered rps",
-            "requests",
-            "ok",
-            "busy",
-            "errors",
-            "p50 µs",
-            "p95 µs",
-            "p99 µs",
-        ],
-    );
-    t.note("E20 requires Unix-domain sockets and was skipped on this platform.");
     t
 }
 

@@ -160,9 +160,8 @@ impl OldcSolver for ReducedTheorem11 {
 /// the span tree accounts for *all* rounds of the pipeline), its
 /// [`crate::api::FaultEnv`] — if any — attaches to the *main* network
 /// only (the fault model targets the long-lived communication graph, not
-/// the solver's internal scratch instances), and its [`ldc_sim::ExecMode`]
-/// override applies to the main network. See [`CongestConfig`] for which
-/// knobs live where.
+/// the solver's internal scratch instances). See [`CongestConfig`] for
+/// which knobs live where.
 ///
 /// ```
 /// use ldc_core::congest::{congest_degree_plus_one, CongestConfig};

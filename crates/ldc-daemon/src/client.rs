@@ -2,15 +2,16 @@
 //! [`crate::proto`] over [`crate::wire`] frames.
 //!
 //! [`Client`] is the simple request/response surface (`ping`, `solve`,
-//! `stats`, `shutdown`) used by tests and the replay path. The load
-//! generator needs pipelining — many solves in flight per connection —
-//! so [`Client::split`] hands out independently-owned send and receive
+//! `stats`, `shutdown`) used by tests and by [`replay`]. Open-loop drivers
+//! need pipelining — many solves in flight per connection — so
+//! [`Client::split`] hands out independently-owned send and receive
 //! halves (two `try_clone`s of the socket) that different threads drive
 //! concurrently.
 
 use std::io;
 use std::os::unix::net::UnixStream;
 use std::path::Path;
+use std::thread;
 use std::time::Duration;
 
 use ldc_batch::JobSpec;
@@ -44,7 +45,7 @@ impl Client {
                 Ok(stream) => return Ok(Client { stream }),
                 Err(e) => {
                     last = Some(e);
-                    std::thread::sleep(Duration::from_millis(20));
+                    thread::sleep(Duration::from_millis(20));
                 }
             }
         }
@@ -135,6 +136,40 @@ impl Receiver {
     pub fn recv(&mut self) -> io::Result<Option<Response>> {
         recv_on(&mut self.stream)
     }
+}
+
+/// Closed-loop replay of a batch job list through one connection, `id =
+/// index`, returning result rows in job order (`busy` answers are retried
+/// after their `retry_after_ms`). The rows are exactly the per-job lines
+/// `ldc batch` writes for the same list.
+pub fn replay<P: AsRef<Path>>(socket_path: P, jobs: &[JobSpec]) -> io::Result<Vec<String>> {
+    let mut client = Client::connect(socket_path)?;
+    let mut rows = Vec::with_capacity(jobs.len());
+    for (i, job) in jobs.iter().enumerate() {
+        loop {
+            match client.solve(i as u64, job)? {
+                Response::Result { id, row } => {
+                    if id != i as u64 {
+                        return Err(io::Error::other(format!(
+                            "replay answer out of order: sent {i}, got {id}"
+                        )));
+                    }
+                    rows.push(row);
+                    break;
+                }
+                Response::Busy { retry_after_ms } => {
+                    thread::sleep(Duration::from_millis(retry_after_ms.clamp(1, 1000)));
+                }
+                Response::Error { code, message } => {
+                    return Err(io::Error::other(format!("daemon error {code}: {message}")));
+                }
+                other => {
+                    return Err(io::Error::other(format!("unexpected reply: {other:?}")));
+                }
+            }
+        }
+    }
+    Ok(rows)
 }
 
 fn recv_on(stream: &mut UnixStream) -> io::Result<Option<Response>> {

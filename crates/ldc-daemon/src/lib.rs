@@ -14,10 +14,9 @@
 //!   `busy` backpressure, solve workers funneling through
 //!   [`ldc_batch::Fleet::run_one`] (rows byte-identical to `ldc
 //!   batch`), graceful drain on SIGTERM/`shutdown`.
-//! * [`client`] — blocking client, splittable for pipelining.
-//! * [`loadgen`] — RPS-ramp load generator with knee detection
-//!   (experiment E20) and the closed-loop [`loadgen::replay`] used by
-//!   the daemon-vs-batch byte-equality check.
+//! * [`client`] — blocking client, splittable for pipelining, and the
+//!   closed-loop [`client::replay`] used by the daemon-vs-batch
+//!   byte-equality check.
 //! * [`signal`] — SIGTERM/SIGINT → drain flag, the crate's one
 //!   `unsafe` allowance.
 //!
@@ -33,16 +32,12 @@ pub mod wire;
 #[cfg(unix)]
 pub mod client;
 #[cfg(unix)]
-pub mod loadgen;
-#[cfg(unix)]
 pub mod server;
 #[cfg(unix)]
 pub mod signal;
 
 #[cfg(unix)]
 pub use client::Client;
-#[cfg(unix)]
-pub use loadgen::{run_ramp, LoadgenConfig, LoadgenReport};
 pub use proto::{Request, Response};
 #[cfg(unix)]
 pub use server::{serve, ServerConfig, ServerHandle};

@@ -319,6 +319,9 @@ mod tests {
         // solve without an id is also bad_request
         let (code, _) = Request::parse(b"{\"v\":1,\"type\":\"solve\",\"job\":{}}").unwrap_err();
         assert_eq!(code, "bad_request");
+        // Nesting past the JSON reader's depth bound is malformed JSON.
+        let (code, _) = Request::parse("[".repeat(200_000).as_bytes()).unwrap_err();
+        assert_eq!(code, "bad_frame");
     }
 
     #[test]

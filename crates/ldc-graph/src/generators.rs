@@ -376,11 +376,16 @@ pub fn preferential_attachment(n: usize, m: usize, seed: u64) -> Graph {
             endpoints.push(v as NodeId);
         }
     }
+    let mut targets: Vec<NodeId> = Vec::with_capacity(m);
     for v in (m + 1)..n {
-        let mut targets = std::collections::HashSet::with_capacity(m);
+        // Targets in draw order, repeats skipped: the graph must be a pure
+        // function of the seed (a hash set's iteration order is not).
+        targets.clear();
         while targets.len() < m {
             let t = endpoints[r.gen_range(0..endpoints.len())];
-            targets.insert(t);
+            if !targets.contains(&t) {
+                targets.push(t);
+            }
         }
         for &t in &targets {
             b.add_edge(v as NodeId, t);
@@ -603,6 +608,22 @@ mod tests {
             "expected a hub, max deg = {}",
             g.max_degree()
         );
+    }
+
+    /// Power-law graphs are a pure function of the seed. Two builds in one
+    /// process must agree, and the pinned digest catches drift across
+    /// processes, such as per-process hash randomization reaching the
+    /// attachment order.
+    #[test]
+    fn preferential_attachment_is_deterministic() {
+        let g = preferential_attachment(2000, 3, 5);
+        assert!(g == preferential_attachment(2000, 3, 5));
+        let mut text = Vec::new();
+        crate::io::write_edge_list(&g, &mut text).unwrap();
+        let fnv1a = text.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(fnv1a, 0x734c_e746_4ebf_d8ce, "edge list drifted");
     }
 
     #[test]

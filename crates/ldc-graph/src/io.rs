@@ -87,10 +87,12 @@ pub fn read_edge_list<R: BufRead>(r: R) -> Result<Graph, IoError> {
                 let v: u32 = parse_tok(&mut tok, lineno, "endpoint")?;
                 b.add_edge(u, v);
             }
-            Some(other) => {
+            Some(_) => {
+                // Reported by line number only: the text may come from any
+                // file a caller can name, so errors never quote it.
                 return Err(IoError::Parse {
                     line: lineno,
-                    message: format!("unknown record '{other}'"),
+                    message: "unknown record".into(),
                 });
             }
             None => {}
@@ -170,6 +172,13 @@ mod tests {
                 "{bad:?}"
             );
         }
+        // A file that is not an edge list is rejected without echoing
+        // its content back to the caller.
+        let err = read_edge_list(std::io::Cursor::new("topsecret-token-1234\n"))
+            .unwrap_err()
+            .to_string();
+        assert_eq!(err, "line 1: unknown record");
+        assert!(!err.contains("topsecret"), "{err}");
     }
 
     #[test]

@@ -3,8 +3,7 @@
 use crate::faults::{FaultPlan, RetryPolicy};
 use crate::message::MessageSize;
 use crate::metrics::{Metrics, RoundStats};
-use crate::par::{default_threads, scoped_for_each_chunk};
-use crate::pool::{pool_execute, DisjointChunks, MAX_CHUNKS};
+use crate::pool::{default_threads, pool_execute, DisjointChunks, MAX_CHUNKS};
 use crate::trace::Tracer;
 use crate::wire::WireBuf;
 pub use crate::wire::{Inbox, Outbox};
@@ -32,22 +31,6 @@ impl Bandwidth {
             bits_per_message: c * logn,
         }
     }
-}
-
-/// How the engine steps nodes within a round once the work threshold
-/// (total half-edge slots, see [`Network::set_parallel_threshold`]) and
-/// thread count allow parallelism at all.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Dispatch chunk jobs to the persistent process-wide worker pool
-    /// (threads are spawned once per process, not per round).
-    #[default]
-    Pooled,
-    /// Spawn `std::thread::scope` workers for every phase (the pre-pool
-    /// behavior; kept for comparison and differential testing).
-    Scoped,
-    /// Never parallelize, regardless of thresholds.
-    Sequential,
 }
 
 /// Simulation failures.
@@ -92,32 +75,6 @@ impl fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
-
-/// Run one phase's chunks on the executor selected by `mode` (inline when
-/// the round is not parallel).
-fn dispatch(
-    mode: ExecMode,
-    threads: usize,
-    parallel: bool,
-    chunks: usize,
-    run_chunk: &(dyn Fn(usize) + Sync),
-) {
-    if !parallel {
-        for c in 0..chunks {
-            run_chunk(c);
-        }
-        return;
-    }
-    match mode {
-        ExecMode::Pooled => pool_execute(threads, chunks, run_chunk),
-        ExecMode::Scoped => scoped_for_each_chunk(chunks, threads, run_chunk),
-        ExecMode::Sequential => {
-            for c in 0..chunks {
-                run_chunk(c);
-            }
-        }
-    }
-}
 
 /// Per-chunk result of the fused compose + accounting pass.
 #[derive(Default, Clone)]
@@ -278,8 +235,6 @@ pub struct Network<'g> {
     parallel_threshold: usize,
     /// Worker count for parallel rounds.
     threads: usize,
-    /// Parallel executor flavor.
-    exec_mode: ExecMode,
     /// Rounds that actually took a parallel path.
     parallel_rounds: usize,
     /// Reusable per-round scratch (wire, chunk tables, outcomes).
@@ -330,7 +285,6 @@ impl<'g> Network<'g> {
             metrics: Metrics::default(),
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             threads: default_threads(),
-            exec_mode: ExecMode::default(),
             parallel_rounds: 0,
             buffers: RoundBuffers::default(),
             tracer: Tracer::disabled(),
@@ -370,24 +324,14 @@ impl<'g> Network<'g> {
     }
 
     /// Override the worker count used for parallel rounds (defaults to
-    /// [`default_threads`]). Values above the chunk cap are clamped at
-    /// dispatch.
+    /// [`default_threads`]); `1` runs every round serially. Values above
+    /// the chunk cap are clamped at dispatch.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
     }
 
-    /// Choose the parallel executor (pooled by default).
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.exec_mode = mode;
-    }
-
-    /// The currently configured executor.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec_mode
-    }
-
-    /// Rounds so far that took a parallel path (work ≥ threshold, > 1
-    /// thread, mode not [`ExecMode::Sequential`]).
+    /// Rounds so far that took a parallel path (work ≥ threshold and > 1
+    /// thread).
     pub fn parallel_rounds(&self) -> usize {
         self.parallel_rounds
     }
@@ -414,8 +358,8 @@ impl<'g> Network<'g> {
 
     /// Attach a fault plan: subsequent rounds draw deterministic fault
     /// decisions from it (keyed on the plan seed, round index, attempt,
-    /// and global half-edge slot / node id — never on executor or thread
-    /// count, so all [`ExecMode`]s stay byte-identical under the same
+    /// and global half-edge slot / node id — never on thread count or
+    /// chunking, so every thread count stays byte-identical under the same
     /// plan). Fault events are counted in [`Metrics`] and attributed to
     /// the open trace span.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
@@ -524,19 +468,16 @@ impl<'g> Network<'g> {
         let total_slots = *self.prefix.last().unwrap_or(&0);
 
         // Shape of this round: parallel iff there is enough work (total
-        // half-edge slots, not node count), more than one thread, and the
-        // mode allows it.
-        let parallel = self.threads > 1
-            && self.exec_mode != ExecMode::Sequential
-            && total_slots >= self.parallel_threshold
-            && n > 1;
-        let chunks = if parallel {
-            chunk_count(total_slots, self.threads, n)
+        // half-edge slots, not node count) and more than one thread. A
+        // serial round is one chunk on one thread, which the pool runs
+        // inline.
+        let parallel = self.threads > 1 && total_slots >= self.parallel_threshold && n > 1;
+        let (chunks, threads) = if parallel {
+            (chunk_count(total_slots, self.threads, n), self.threads)
         } else {
-            1
+            (1, 1)
         };
         self.buffers.ensure_chunk_bounds(&self.prefix, chunks);
-        let (mode, threads) = (self.exec_mode, self.threads);
         let round = self.metrics.rounds();
 
         // Fault plan hooks: an injected transient error aborts the attempt
@@ -626,7 +567,7 @@ impl<'g> Network<'g> {
                     }
                 }
             };
-            dispatch(mode, threads, parallel, chunks, &run_chunk);
+            pool_execute(threads, chunks, &run_chunk);
         }
 
         // Reduce per-chunk outcomes. Chunks are in node order, so the
@@ -697,7 +638,7 @@ impl<'g> Network<'g> {
                     );
                 }
             };
-            dispatch(mode, threads, parallel, chunks, &run_chunk);
+            pool_execute(threads, chunks, &run_chunk);
         }
 
         self.buffers.store_wire(wire);
@@ -789,11 +730,10 @@ mod tests {
             );
         }
         // Pooled vs serial byte-equality on the dense shape.
-        let run = |mode: ExecMode| -> Vec<u64> {
+        let run = |threads: usize| -> Vec<u64> {
             let mut net = Network::new(&g, Bandwidth::Local);
             net.set_parallel_threshold(0);
             net.set_threads(threads);
-            net.set_exec_mode(mode);
             let mut states: Vec<u64> = g.nodes().map(u64::from).collect();
             for _ in 0..3 {
                 net.broadcast_exchange(
@@ -811,7 +751,7 @@ mod tests {
             }
             states
         };
-        assert_eq!(run(ExecMode::Pooled), run(ExecMode::Sequential));
+        assert_eq!(run(threads), run(1));
     }
 
     /// Property test for the degree-aware chunk cuts on degree-skewed
@@ -971,11 +911,10 @@ mod tests {
     #[test]
     fn parallel_and_sequential_agree() {
         let g = generators::gnp(600, 0.02, 3);
-        let run = |threshold: usize, mode: ExecMode| -> Vec<u64> {
+        let run = |threshold: usize, threads: usize| -> Vec<u64> {
             let mut net = Network::new(&g, Bandwidth::Local);
             net.set_parallel_threshold(threshold);
-            net.set_threads(4);
-            net.set_exec_mode(mode);
+            net.set_threads(threads);
             let mut states: Vec<u64> = g.nodes().map(u64::from).collect();
             for _ in 0..5 {
                 net.broadcast_exchange(
@@ -993,9 +932,10 @@ mod tests {
             }
             states
         };
-        let sequential = run(usize::MAX, ExecMode::Pooled);
-        assert_eq!(sequential, run(0, ExecMode::Pooled));
-        assert_eq!(sequential, run(0, ExecMode::Scoped));
+        let sequential = run(usize::MAX, 4);
+        for threads in [2, 4, 8] {
+            assert_eq!(sequential, run(0, threads), "t={threads}");
+        }
     }
 
     /// Regression for the node-count-keyed switch: a small-n/high-degree

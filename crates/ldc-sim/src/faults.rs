@@ -19,10 +19,10 @@
 //!   costs (`backoff_rounds`).
 //!
 //! Every fault decision is a **pure function** of
-//! `(plan seed, round, attempt, index)` — never of executor, thread
-//! count, or iteration order — so pooled, scoped, and sequential
-//! execution of the same plan produce byte-identical states and metrics
-//! (asserted by `tests/faults.rs`). A plan with all rates zero, no
+//! `(plan seed, round, attempt, index)` — never of thread count, chunking,
+//! or iteration order — so serial and parallel execution of the same plan
+//! produce byte-identical states and metrics (asserted by
+//! `tests/faults.rs`). A plan with all rates zero, no
 //! windows, and no schedule is a true no-op: the run is byte-identical
 //! to one with no plan attached at all.
 //!

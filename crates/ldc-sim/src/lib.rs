@@ -28,7 +28,7 @@
 //! engine enforces the information-flow discipline by construction — node
 //! code never sees another node's state — and steps nodes in parallel above
 //! a configurable *work* threshold (total half-edge slots per round), on a
-//! persistent worker [`pool`] by default. Per-round scratch (the wire
+//! persistent worker [`pool`]. Per-round scratch (the wire
 //! buffer, chunk tables, accounting slots) lives in a reusable arena owned
 //! by the [`Network`], so the steady-state hot path neither allocates nor
 //! spawns threads. Purely local computation between `exchange` calls costs
@@ -60,7 +60,6 @@ pub mod faults;
 pub mod json;
 pub mod message;
 pub mod metrics;
-pub mod par;
 #[allow(unsafe_code)]
 pub mod pool;
 pub mod telemetry;
@@ -68,7 +67,7 @@ pub mod trace;
 #[allow(unsafe_code)]
 pub mod wire;
 
-pub use engine::{Bandwidth, ExecMode, Inbox, Network, Outbox, SimError};
+pub use engine::{Bandwidth, Inbox, Network, Outbox, SimError};
 pub use faults::{CrashWindow, FaultPlan, RetryPolicy};
 pub use message::{bits_for_value, MessageSize};
 pub use metrics::{Metrics, RoundStats};

@@ -219,6 +219,14 @@ impl Pool {
     }
 }
 
+/// Number of worker threads to use for data-parallel node stepping: the
+/// host's available parallelism (1 if it cannot be queried).
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1)
+}
+
 /// Run `f(chunk)` for every `chunk in 0..chunks` across the persistent
 /// worker pool, using at most `threads` concurrent executors (the calling
 /// thread participates, so at most `threads - 1` workers are woken).
@@ -252,8 +260,8 @@ pub fn threads_spawned() -> u64 {
 /// story sound: two `take` calls can never return overlapping slices, even
 /// racing from different threads. At most [`MAX_CHUNKS`] chunks.
 ///
-/// This is the safe façade the engine uses to hand each pool/scoped worker
-/// its slice of the round's wire buffer and state array without building a
+/// This is the safe façade the engine uses to hand each pool worker its
+/// slice of the round's wire buffer and state array without building a
 /// per-round table of `n` slices.
 pub struct DisjointChunks<'a, T> {
     base: *mut T,

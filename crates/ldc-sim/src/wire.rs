@@ -4,7 +4,7 @@
 //! original wire buffer was a `Vec<Option<M>>` — every slot paid
 //! `size_of::<Option<M>>()` bytes of clear + scan traffic per round even
 //! when empty, which made million-slot rounds memory-bound long before
-//! they were compute-bound. [`WireBuf`] splits the representation:
+//! they were compute-bound. `WireBuf` splits the representation:
 //!
 //! * a **presence bitmap** (`Vec<AtomicU64>`, one bit per slot) — the
 //!   bit-packed part of the layout. Clearing a round is `total/64` word
@@ -32,8 +32,8 @@
 //! [`crate::pool::DisjointChunks`]), but a 64-slot bitmap word can
 //! straddle a chunk boundary — so presence bits are set/cleared with
 //! atomic RMW ops (`Relaxed`: each *bit* has exactly one writer, and the
-//! phase barrier — the pool's completion rendezvous or `thread::scope`
-//! join — provides the happens-before edge before any read). The consume
+//! phase barrier — the pool's completion rendezvous — provides the
+//! happens-before edge before any read). The consume
 //! phase only reads. Single-writer-per-bit is what makes `Relaxed`
 //! sufficient: there is no cross-bit protocol inside a word, the RMW just
 //! avoids losing a neighbor chunk's concurrent update to the same word.
@@ -41,7 +41,7 @@
 //! # Safety invariant
 //!
 //! `bit set ⟺ payload slot initialized`, established by [`Outbox::send`]
-//! and torn down by [`Outbox::clear`] / [`WireBuf::reset`] / `Drop`.
+//! and torn down by `Outbox::clear` / `WireBuf::reset` / `Drop`.
 //! Every `unsafe` block in this module relies on it and nothing else; the
 //! crate is `deny(unsafe_code)` with an allowance for this module and
 //! `pool`.

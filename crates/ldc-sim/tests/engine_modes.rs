@@ -1,12 +1,13 @@
 //! Integration tests for the round-engine hot path: steady-state buffer
-//! reuse, zero per-round thread spawns in pooled mode, executor-mode
-//! equivalence (pooled / scoped / sequential must be indistinguishable in
-//! states and metrics), and recovery after a CONGEST violation.
+//! reuse, zero per-round thread spawns on the pool, thread-count
+//! equivalence (a parallel round at any width must be indistinguishable
+//! from the serial one in states and metrics), and recovery after a
+//! CONGEST violation.
 
 use ldc_graph::generators;
 use ldc_rand::Rng;
 use ldc_sim::pool::threads_spawned;
-use ldc_sim::{Bandwidth, ExecMode, MessageSize, Metrics, Network, Outbox, RoundStats, SimError};
+use ldc_sim::{Bandwidth, MessageSize, Metrics, Network, Outbox, RoundStats, SimError};
 
 #[derive(Clone, PartialEq, Debug)]
 struct Ping(u64);
@@ -62,14 +63,14 @@ fn wire_buffers_allocated_once_across_many_rounds() {
     assert_eq!(net.wire_allocations(), 2, "one buffer per message type");
 }
 
-/// Pooled mode must spawn threads at most once (warm-up), never per round.
+/// Parallel rounds must spawn pool threads at most once (warm-up), never
+/// per round.
 #[test]
-fn pooled_mode_spawns_no_threads_per_round() {
+fn parallel_rounds_spawn_no_threads_per_round() {
     let g = generators::complete(120); // 14 280 slots
     let mut net = Network::new(&g, Bandwidth::Local);
     net.set_threads(4);
     net.set_parallel_threshold(0); // force the parallel path
-    net.set_exec_mode(ExecMode::Pooled);
     let mut states: Vec<u64> = (0..120).collect();
     // Warm up: pool workers spawn here at the latest.
     for _ in 0..3 {
@@ -90,12 +91,12 @@ fn pooled_mode_spawns_no_threads_per_round() {
     );
 }
 
-/// Pooled-parallel, scoped-parallel, and sequential execution must produce
-/// byte-identical states and identical per-round metrics, across seeds,
-/// graph shapes, and thread counts (t = 1/2/4/8 — the bench sweep's
-/// widths; chunking changes with `t`, output must not).
+/// Parallel execution at t = 2/4/8 (the bench sweep's widths; chunking
+/// changes with `t`, output must not) must produce byte-identical states
+/// and identical per-round metrics to the serial t = 1 run, across seeds
+/// and graph shapes.
 #[test]
-fn all_exec_modes_agree_across_seeds() {
+fn all_thread_counts_agree_across_seeds() {
     for case in 0..12u64 {
         let mut r = Rng::seed_from_u64(0xE9E9 + case);
         let n = 50 + (r.gen_range(0..200u64) as usize);
@@ -103,33 +104,28 @@ fn all_exec_modes_agree_across_seeds() {
         let g = generators::gnp(n, p, case);
         let rounds = 3 + (case as usize % 4);
 
-        let run =
-            |mode: ExecMode, threads: usize, threshold: usize| -> (Vec<u64>, Vec<RoundStats>) {
-                let mut net = Network::new(&g, Bandwidth::Local);
-                net.set_threads(threads);
-                net.set_exec_mode(mode);
-                net.set_parallel_threshold(threshold);
-                let mut states: Vec<u64> =
-                    (0..n as u64).map(|v| v.wrapping_mul(case + 1)).collect();
-                for _ in 0..rounds {
-                    mix_round(&mut net, &mut states).unwrap();
-                }
-                (states, net.metrics().per_round().to_vec())
-            };
-
-        let (seq_states, seq_rounds) = run(ExecMode::Sequential, 1, 0);
-        for mode in [ExecMode::Pooled, ExecMode::Scoped] {
-            for threads in [1usize, 2, 4, 8] {
-                let (states, per_round) = run(mode, threads, 0);
-                assert_eq!(
-                    states, seq_states,
-                    "case {case}: {mode:?}@t{threads} states diverged"
-                );
-                assert_eq!(
-                    per_round, seq_rounds,
-                    "case {case}: {mode:?}@t{threads} metrics diverged"
-                );
+        let run = |threads: usize| -> (Vec<u64>, Vec<RoundStats>) {
+            let mut net = Network::new(&g, Bandwidth::Local);
+            net.set_threads(threads);
+            net.set_parallel_threshold(0);
+            let mut states: Vec<u64> = (0..n as u64).map(|v| v.wrapping_mul(case + 1)).collect();
+            for _ in 0..rounds {
+                mix_round(&mut net, &mut states).unwrap();
             }
+            (states, net.metrics().per_round().to_vec())
+        };
+
+        let (seq_states, seq_rounds) = run(1);
+        for threads in [2usize, 4, 8] {
+            let (states, per_round) = run(threads);
+            assert_eq!(
+                states, seq_states,
+                "case {case}: t{threads} states diverged"
+            );
+            assert_eq!(
+                per_round, seq_rounds,
+                "case {case}: t{threads} metrics diverged"
+            );
         }
     }
 }
@@ -139,7 +135,7 @@ fn all_exec_modes_agree_across_seeds() {
 /// starts from a clean wire (no stale messages).
 #[test]
 fn network_recovers_after_bandwidth_exceeded() {
-    for mode in [ExecMode::Sequential, ExecMode::Pooled] {
+    for threads in [1, 4] {
         let g = generators::complete(64);
         let mut net = Network::new(
             &g,
@@ -147,13 +143,8 @@ fn network_recovers_after_bandwidth_exceeded() {
                 bits_per_message: 8,
             },
         );
-        net.set_threads(4);
-        net.set_parallel_threshold(if mode == ExecMode::Sequential {
-            usize::MAX
-        } else {
-            0
-        });
-        net.set_exec_mode(mode);
+        net.set_threads(threads);
+        net.set_parallel_threshold(0);
         let tracer = ldc_sim::Tracer::new();
         net.set_tracer(tracer.clone());
         let mut states = vec![0u64; 64];
@@ -197,8 +188,8 @@ fn network_recovers_after_bandwidth_exceeded() {
             other => panic!("expected BandwidthExceeded, got {other:?}"),
         }
         // Failed round is invisible in metrics...
-        assert_eq!(net.metrics().rounds(), clean.rounds(), "{mode:?}");
-        assert_eq!(net.metrics().total_bits(), clean.total_bits(), "{mode:?}");
+        assert_eq!(net.metrics().rounds(), clean.rounds(), "t{threads}");
+        assert_eq!(net.metrics().total_bits(), clean.total_bits(), "t{threads}");
 
         // ...and the next round is clean: every node sees exactly its
         // neighbors' fresh messages, no leftovers from the failed round.
@@ -212,7 +203,7 @@ fn network_recovers_after_bandwidth_exceeded() {
             },
         )
         .unwrap();
-        assert_eq!(net.metrics().rounds(), 2, "{mode:?}");
+        assert_eq!(net.metrics().rounds(), 2, "t{threads}");
 
         // Tracer agrees with metrics (the trace_attribution invariant):
         // only successful rounds were emitted.
@@ -220,12 +211,12 @@ fn network_recovers_after_bandwidth_exceeded() {
         assert_eq!(
             root.total().rounds as usize,
             net.metrics().rounds(),
-            "{mode:?}"
+            "t{threads}"
         );
         assert_eq!(
             root.total().total_bits,
             net.metrics().total_bits(),
-            "{mode:?}"
+            "t{threads}"
         );
     }
 }
@@ -233,19 +224,18 @@ fn network_recovers_after_bandwidth_exceeded() {
 /// The violation reported by a parallel run must be the same one a
 /// sequential scan finds: the globally first in (node, port) order.
 #[test]
-fn violation_choice_is_deterministic_across_modes() {
+fn violation_choice_is_deterministic_across_thread_counts() {
     let g = generators::complete(100);
     let offenders = [13u32, 41, 77];
-    let run = |mode: ExecMode, threshold: usize| -> SimError {
+    let run = |threads: usize| -> SimError {
         let mut net = Network::new(
             &g,
             Bandwidth::Congest {
                 bits_per_message: 4,
             },
         );
-        net.set_threads(4);
-        net.set_parallel_threshold(threshold);
-        net.set_exec_mode(mode);
+        net.set_threads(threads);
+        net.set_parallel_threshold(0);
         let mut states = vec![0u8; 100];
         net.exchange(
             &mut states,
@@ -258,9 +248,10 @@ fn violation_choice_is_deterministic_across_modes() {
         )
         .unwrap_err()
     };
-    let sequential = run(ExecMode::Sequential, usize::MAX);
-    assert_eq!(sequential, run(ExecMode::Pooled, 0));
-    assert_eq!(sequential, run(ExecMode::Scoped, 0));
+    let sequential = run(1);
+    for threads in [2, 4, 8] {
+        assert_eq!(sequential, run(threads), "t{threads}");
+    }
     match sequential {
         SimError::BandwidthExceeded { node, port, .. } => {
             assert_eq!((node, port), (13, 0), "first offender in node order");
@@ -273,10 +264,10 @@ fn violation_choice_is_deterministic_across_modes() {
 /// compose (mirrors multi-phase pipelines that mix dense and sparse
 /// subgraphs).
 #[test]
-fn metrics_compose_across_modes() {
+fn metrics_compose_across_thread_counts() {
     let g = generators::gnp(150, 0.1, 3);
     let mut seq = Network::new(&g, Bandwidth::Local);
-    seq.set_exec_mode(ExecMode::Sequential);
+    seq.set_threads(1);
     let mut par = Network::new(&g, Bandwidth::Local);
     par.set_threads(4);
     par.set_parallel_threshold(0);

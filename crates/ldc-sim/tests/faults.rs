@@ -1,6 +1,6 @@
 //! Integration tests for the fault-injection layer: zero-fault plans are
-//! proven no-ops, all executors agree byte-for-byte under the same seeded
-//! `FaultPlan`, metrics/trace attribution stays exact under faults, the
+//! proven no-ops, every thread count agrees byte-for-byte under the same
+//! seeded `FaultPlan`, metrics/trace attribution stays exact under faults, the
 //! retry policy recovers from transient errors with sender state rolled
 //! back, and the hot-path invariants (zero steady-state wire allocations)
 //! survive fault application.
@@ -11,8 +11,7 @@ use ldc_sim::trace::{
     CTR_FAULTED_NODES, CTR_MESSAGES_DROPPED, CTR_ROUNDS_RETRIED, CTR_STALLED_ROUNDS,
 };
 use ldc_sim::{
-    Bandwidth, ExecMode, FaultPlan, MessageSize, Network, Outbox, RetryPolicy, RoundStats,
-    SimError, Tracer,
+    Bandwidth, FaultPlan, MessageSize, Network, Outbox, RetryPolicy, RoundStats, SimError, Tracer,
 };
 
 #[derive(Clone, PartialEq, Debug)]
@@ -42,19 +41,18 @@ fn mix_round(net: &mut Network<'_>, states: &mut [u64]) -> Result<(), SimError> 
     )
 }
 
-/// Run `rounds` mixing rounds under `plan` (if any) and return the final
-/// states plus the full metrics.
+/// Run `rounds` mixing rounds on `threads` workers (parallel threshold
+/// forced to 0) under `plan` (if any) and return the final states plus the
+/// full metrics.
 fn run_mix(
     g: &ldc_graph::Graph,
     plan: Option<FaultPlan>,
-    mode: ExecMode,
-    threshold: usize,
+    threads: usize,
     rounds: usize,
 ) -> (Vec<u64>, Vec<RoundStats>, u64, u64) {
     let mut net = Network::new(g, Bandwidth::Local);
-    net.set_threads(4);
-    net.set_exec_mode(mode);
-    net.set_parallel_threshold(threshold);
+    net.set_threads(threads);
+    net.set_parallel_threshold(0);
     if let Some(p) = plan {
         net.set_fault_plan(p);
     }
@@ -95,21 +93,21 @@ fn zero_fault_plans_are_noops() {
             .with_budget_step(rounds / 2, None);
         assert!(plan.is_noop());
 
-        let baseline = run_mix(&g, None, ExecMode::Sequential, usize::MAX, rounds);
-        for mode in [ExecMode::Sequential, ExecMode::Pooled, ExecMode::Scoped] {
-            let faulty = run_mix(&g, Some(plan.clone()), mode, 0, rounds);
-            assert_eq!(faulty, baseline, "case {case}: {mode:?} diverged");
+        let baseline = run_mix(&g, None, 1, rounds);
+        for threads in [1, 2, 4, 8] {
+            let faulty = run_mix(&g, Some(plan.clone()), threads, rounds);
+            assert_eq!(faulty, baseline, "case {case}: t{threads} diverged");
         }
         assert_eq!(baseline.2, 0, "no drops in a fault-free run");
         assert_eq!(baseline.3, 0, "no faulted nodes in a fault-free run");
     }
 }
 
-/// Tentpole acceptance: pooled / scoped / sequential executors produce
-/// byte-identical final states and identical `Metrics` (including the new
-/// drop/fault counters) under the *same* seeded lossy `FaultPlan`.
+/// Parallel rounds at t = 2/4/8 produce byte-identical final states and
+/// identical `Metrics` (including the drop/fault counters) to the serial
+/// t = 1 run under the *same* seeded lossy `FaultPlan`.
 #[test]
-fn all_exec_modes_agree_under_seeded_faults() {
+fn all_thread_counts_agree_under_seeded_faults() {
     for case in 0..8u64 {
         let mut r = Rng::seed_from_u64(0xFA115 + case);
         let n = 40 + (r.gen_range(0..150u64) as usize);
@@ -122,21 +120,15 @@ fn all_exec_modes_agree_under_seeded_faults() {
             .with_sleep_rate(0.05)
             .with_crash((case % n as u64) as u32, 1, rounds);
 
-        let baseline = run_mix(
-            &g,
-            Some(plan.clone()),
-            ExecMode::Sequential,
-            usize::MAX,
-            rounds,
-        );
+        let baseline = run_mix(&g, Some(plan.clone()), 1, rounds);
         assert!(
             baseline.2 > 0,
             "case {case}: the plan must actually drop something"
         );
         assert!(baseline.3 > 0, "case {case}: some node-round faults");
-        for mode in [ExecMode::Pooled, ExecMode::Scoped] {
-            let faulty = run_mix(&g, Some(plan.clone()), mode, 0, rounds);
-            assert_eq!(faulty, baseline, "case {case}: {mode:?} diverged");
+        for threads in [2, 4, 8] {
+            let faulty = run_mix(&g, Some(plan.clone()), threads, rounds);
+            assert_eq!(faulty, baseline, "case {case}: t{threads} diverged");
         }
     }
 }

@@ -1,7 +1,7 @@
 //! `ldc` — command-line front end for the list-defective-coloring
 //! workspace: generate graphs, color them with the paper's pipeline or the
 //! baselines, edge-color via line graphs, print structural analyses, run
-//! batch fleets, and serve/drive the long-lived `ldcd` daemon.
+//! batch fleets, and serve/replay against the long-lived `ldcd` daemon.
 //!
 //! ```sh
 //! ldc gen regular 512 10 --seed 7 -o net.col
@@ -10,7 +10,7 @@
 //! ldc edge-color net.col
 //! ldc analyze net.col
 //! ldc serve --socket /tmp/ldcd.sock
-//! ldc loadgen --socket /tmp/ldcd.sock --smoke
+//! ldc replay ci/fleet_e17.json --socket /tmp/ldcd.sock
 //! ```
 //!
 //! All argument handling goes through the shared [`cli`] parser
@@ -52,13 +52,13 @@ fn run(args: &[String]) -> Result<(), String> {
         Some("soak") => cmd_soak(&args[1..]),
         Some("report") => cmd_report(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
-        Some("loadgen") => cmd_loadgen(&args[1..]),
+        Some("replay") => cmd_replay(&args[1..]),
         _ => Err(usage()),
     }
 }
 
 fn usage() -> String {
-    "usage:\n  ldc gen <ring|path|complete|torus|regular|gnp|tree|powerlaw|hypercube> <params…> [--seed S] [-o FILE]\n  ldc color <FILE> [--algorithm thm14|classic|luby] [--seed S] [--trace FILE] [--timings] [--faults SPEC] [--retries N]\n  ldc edge-color <FILE> [--seed S] [--trace FILE] [--timings]\n  ldc analyze <FILE>\n  ldc batch <SPEC.json> [--shards N] [--solver-threads N] [--shared-cache] [--strict] [--out FILE] [--telemetry FILE]\n  ldc soak [--smoke|--full] [--only ID] [--seed S] [--shards N] [--out-dir DIR] [--list]\n  ldc report [--history FILE] [--telemetry FILE] [--strip-timing FILE]\n  ldc serve --socket PATH [--workers N] [--queue-cap N] [--solver-threads N] [--shared-cache] [--retry-after-ms MS]\n  ldc loadgen --socket PATH [--smoke] [--connections N] [--initial-rps R] [--increment-rps R] [--max-rps R]\n              [--step-ms MS] [--p95-ms MS] [--job SPEC.json] [--out FILE]\n  ldc loadgen --socket PATH --replay SPEC.json [--out FILE]\n\n  batch: run every job in SPEC.json (array of job objects, or {\"jobs\": [...]})\n  sharded over the worker pool, and write one JSONL row per job plus a fleet\n  summary line. Output is byte-identical for every --shards value, every\n  --solver-threads value, and with or without --shared-cache.\n  --solver-threads N: worker threads for each solver's batched per-node\n  phases (default 1). --shared-cache: share one kernel cache across the\n  whole run so same-shaped jobs skip recomputation (stats on stderr).\n  --strict: reject unknown top-level fields in the spec (schema v1);\n  default is loose, which ignores them so old fixtures keep loading.\n  --telemetry FILE: also write a manifest-stamped telemetry JSONL whose\n  deterministic section is byte-identical across shard counts (with\n  --shared-cache, only at --shards 1 — shared hits race otherwise).\n\n  soak: expand the seeded scenario matrix (DESIGN.md §14) and hold every\n  scenario to the invariant catalog — validity, byte-identical rows across\n  shards/exec/threads/cache, Reference-vs-Fast equality, stats\n  sum-consistency, zero-alloc engine steady state. --smoke (default) runs\n  the curated PR slice, --full the whole matrix (nightly). Results stream\n  to DIR/soak_<tier>.jsonl (default target/soak); exit is nonzero on any\n  violation, printing a one-line repro (`ldc soak --seed S --only ID`).\n  --shards N sets the sharded determinism variant (default 4; det output\n  is byte-identical at every value). --list prints scenario ids.\n\n  report: render bench-history trend tables (default --history\n  BENCH_history.jsonl) and/or summarize a telemetry JSONL; --strip-timing\n  prints only the deterministic sections of a telemetry file (CI diffs it).\n\n  serve: run the ldcd daemon (DESIGN.md §15) on a Unix socket. Every solve\n  goes through the same single-job core as `ldc batch`, so served rows are\n  byte-identical to batch rows for the same spec and job index. Admission\n  is bounded at workers + queue-cap jobs in flight; excess solves get a\n  typed busy response carrying --retry-after-ms. SIGTERM drains: admitted\n  jobs finish and are delivered, then the process exits.\n\n  loadgen: drive a running daemon. Default mode ramps offered load from\n  --initial-rps by --increment-rps up to --max-rps (--smoke: a sub-second\n  CI-sized ramp), measures per-request latency into log₂ histograms, and\n  reports the knee — the first step where p95 exceeds --p95-ms or\n  completions fall under 90% of offered. --out writes an E20 telemetry\n  JSONL (deterministic det rows; latency percentiles in timing).\n  --replay SPEC.json instead pushes a batch job list through one\n  connection and writes the result rows — byte-identical to `ldc batch`\n  on the same spec.\n\n  --trace FILE: record a phase-span trace (per-theorem rounds/bits), print\n  the span tree, and write it as JSONL to FILE ('-' prints the tree only).\n  --timings: include wall-clock fields in the trace JSONL (off by default,\n  keeping trace output byte-diffable).\n\n  --faults SPEC: run under a seeded fault plan (DESIGN.md §9). SPEC is\n  comma-separated key=value pairs: seed=S, drop=RATE, trunc=RATE:CAPBITS,\n  sleep=RATE, error=RATE (e.g. --faults seed=7,drop=0.05,error=0.1).\n  --retries N: round retries per fault (default 3, backoff 1 stall round)."
+    "usage:\n  ldc gen <ring|path|complete|torus|regular|gnp|tree|powerlaw|hypercube> <params…> [--seed S] [-o FILE]\n  ldc color <FILE> [--algorithm thm14|classic|luby] [--seed S] [--trace FILE] [--timings] [--faults SPEC] [--retries N]\n  ldc edge-color <FILE> [--seed S] [--trace FILE] [--timings]\n  ldc analyze <FILE>\n  ldc batch <SPEC.json> [--shards N] [--solver-threads N] [--shared-cache] [--strict] [--out FILE] [--telemetry FILE]\n  ldc soak [--smoke|--full] [--only ID] [--seed S] [--shards N] [--out-dir DIR] [--list]\n  ldc report [--history FILE] [--telemetry FILE] [--strip-timing FILE]\n  ldc serve --socket PATH [--workers N] [--queue-cap N] [--solver-threads N] [--shared-cache] [--retry-after-ms MS]\n  ldc replay <SPEC.json> --socket PATH [--out FILE]\n\n  batch: run every job in SPEC.json (array of job objects, or {\"jobs\": [...]})\n  sharded over the worker pool, and write one JSONL row per job plus a fleet\n  summary line. Output is byte-identical for every --shards value, every\n  --solver-threads value, and with or without --shared-cache.\n  --solver-threads N: worker threads for each solver's batched per-node\n  phases (default 1). --shared-cache: share one kernel cache across the\n  whole run so same-shaped jobs skip recomputation (stats on stderr).\n  --strict: reject unknown top-level fields in the spec (schema v1);\n  default is loose, which ignores them so old fixtures keep loading.\n  --telemetry FILE: also write a manifest-stamped telemetry JSONL whose\n  deterministic section is byte-identical across shard counts (with\n  --shared-cache, only at --shards 1 — shared hits race otherwise).\n\n  soak: expand the seeded scenario matrix (DESIGN.md §14) and hold every\n  scenario to the invariant catalog — validity, byte-identical rows across\n  shards/threads/cache, Reference-vs-Fast equality, stats\n  sum-consistency, zero-alloc engine steady state. --smoke (default) runs\n  the curated PR slice, --full the whole matrix (nightly). Results stream\n  to DIR/soak_<tier>.jsonl (default target/soak); exit is nonzero on any\n  violation, printing a one-line repro (`ldc soak --seed S --only ID`).\n  --shards N sets the sharded determinism variant (default 4; det output\n  is byte-identical at every value). --list prints scenario ids.\n\n  report: render bench-history trend tables (default --history\n  BENCH_history.jsonl) and/or summarize a telemetry JSONL; --strip-timing\n  prints only the deterministic sections of a telemetry file (CI diffs it).\n\n  serve: run the ldcd daemon (DESIGN.md §15) on a Unix socket. Every solve\n  goes through the same single-job core as `ldc batch`, so served rows are\n  byte-identical to batch rows for the same spec and job index. Admission\n  is bounded at workers + queue-cap jobs in flight; excess solves get a\n  typed busy response carrying --retry-after-ms. SIGTERM drains: admitted\n  jobs finish and are delivered, then the process exits.\n\n  replay: push a batch job list through one connection to a running\n  daemon and write the result rows — byte-identical to `ldc batch` on\n  the same spec.\n\n  --trace FILE: record a phase-span trace (per-theorem rounds/bits), print\n  the span tree, and write it as JSONL to FILE ('-' prints the tree only).\n  --timings: include wall-clock fields in the trace JSONL (off by default,\n  keeping trace output byte-diffable).\n\n  --faults SPEC: run under a seeded fault plan (DESIGN.md §9). SPEC is\n  comma-separated key=value pairs: seed=S, drop=RATE, trunc=RATE:CAPBITS,\n  sleep=RATE, error=RATE (e.g. --faults seed=7,drop=0.05,error=0.1).\n  --retries N: round retries per fault (default 3, backoff 1 stall round)."
         .into()
 }
 
@@ -574,117 +574,23 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `ldc loadgen` — RPS-ramp driver (E20) or closed-loop batch replay.
-fn cmd_loadgen(args: &[String]) -> Result<(), String> {
-    use ldc::daemon::loadgen::{self, LoadgenConfig};
-    let a = cli::parse(
-        args,
-        &["--smoke"],
-        &[
-            "--socket",
-            "--connections",
-            "--initial-rps",
-            "--increment-rps",
-            "--max-rps",
-            "--step-ms",
-            "--p95-ms",
-            "--job",
-            "--replay",
-            "--out",
-        ],
-    )?;
+/// `ldc replay` — closed-loop batch replay through a running daemon.
+fn cmd_replay(args: &[String]) -> Result<(), String> {
+    let a = cli::parse(args, &[], &["--socket", "--out"])?;
+    let spec = a.positional(0).map_err(|_| usage())?;
     let socket = a.require("--socket")?;
-
-    if let Some(spec) = a.get("--replay") {
-        let text = std::fs::read_to_string(spec).map_err(|e| format!("read {spec}: {e}"))?;
-        let jobs = parse_spec_file(&text).map_err(|e| format!("{spec}: {e}"))?;
-        let rows = loadgen::replay(socket, &jobs).map_err(|e| format!("replay: {e}"))?;
-        let mut out = String::with_capacity(rows.iter().map(|r| r.len() + 1).sum());
-        for row in &rows {
-            out.push_str(row);
-            out.push('\n');
-        }
-        match a.get("--out") {
-            Some(path) => std::fs::write(path, &out).map_err(|e| format!("write {path}: {e}"))?,
-            None => print!("{out}"),
-        }
-        eprintln!("replayed {} job(s) through {socket}", rows.len());
-        return Ok(());
+    let text = std::fs::read_to_string(spec).map_err(|e| format!("read {spec}: {e}"))?;
+    let jobs = parse_spec_file(&text).map_err(|e| format!("{spec}: {e}"))?;
+    let rows = ldc::daemon::client::replay(socket, &jobs).map_err(|e| format!("replay: {e}"))?;
+    let mut out = String::with_capacity(rows.iter().map(|r| r.len() + 1).sum());
+    for row in &rows {
+        out.push_str(row);
+        out.push('\n');
     }
-
-    let mut cfg = if a.has("--smoke") {
-        LoadgenConfig::smoke(socket)
-    } else {
-        LoadgenConfig::new(socket)
-    };
-    cfg.connections = a.parse_or("--connections", cfg.connections)?;
-    cfg.initial_rps = a.parse_or("--initial-rps", cfg.initial_rps)?;
-    cfg.increment_rps = a.parse_or("--increment-rps", cfg.increment_rps)?;
-    cfg.max_rps = a.parse_or("--max-rps", cfg.max_rps)?;
-    cfg.step_ms = a.parse_or("--step-ms", cfg.step_ms)?;
-    cfg.p95_threshold_ms = a.parse_or("--p95-ms", cfg.p95_threshold_ms)?;
-    if let Some(spec) = a.get("--job") {
-        let text = std::fs::read_to_string(spec).map_err(|e| format!("read {spec}: {e}"))?;
-        let jobs = parse_spec_file(&text).map_err(|e| format!("{spec}: {e}"))?;
-        cfg.job = jobs
-            .into_iter()
-            .next()
-            .ok_or_else(|| format!("{spec}: no jobs (loadgen probes with the first)"))?;
+    match a.get("--out") {
+        Some(path) => std::fs::write(path, &out).map_err(|e| format!("write {path}: {e}"))?,
+        None => print!("{out}"),
     }
-    let report = loadgen::run_ramp(&cfg).map_err(|e| format!("loadgen: {e}"))?;
-
-    let mut total_errors = 0u64;
-    for s in &report.steps {
-        total_errors += s.errors;
-        println!(
-            "step {:>2}: offered {:>5} rps ({} req) — ok {:>5}, busy {:>4}, errors {:>3}; p50 {} µs, p95 {} µs, p99 {} µs",
-            s.step,
-            s.rps,
-            s.requests,
-            s.ok,
-            s.busy,
-            s.errors,
-            s.latency.percentile(50.0) / 1000,
-            s.latency.percentile(95.0) / 1000,
-            s.latency.percentile(99.0) / 1000,
-        );
-    }
-    match report.knee_rps {
-        Some(rps) => println!("knee: offered load first fell behind at {rps} rps"),
-        None => println!(
-            "knee: not reached (service kept up through {} rps)",
-            cfg.max_rps
-        ),
-    }
-
-    if let Some(path) = a.get("--out") {
-        // E20 telemetry: per-step events whose det section is a pure
-        // function of the ramp config (step/rps/requests/errors-on-
-        // success); everything measured stays in timing.
-        let mut sink = EventSink::new();
-        sink.set_manifest(&RunManifest::capture("loadgen", 0, "E20"));
-        for s in &report.steps {
-            let det = Obj::new()
-                .u64("step", s.step)
-                .u64("rps", s.rps)
-                .u64("requests", s.requests)
-                .u64("errors", s.errors)
-                .finish();
-            let timing = Obj::new()
-                .u64("ok", s.ok)
-                .u64("busy", s.busy)
-                .u64("latency_p50_ns", s.latency.percentile(50.0))
-                .u64("latency_p95_ns", s.latency.percentile(95.0))
-                .u64("latency_p99_ns", s.latency.percentile(99.0))
-                .finish();
-            sink.emit("loadgen_step", det, timing);
-        }
-        sink.write_to(path)
-            .map_err(|e| format!("write {path}: {e}"))?;
-        eprintln!("wrote E20 telemetry to {path}");
-    }
-    if total_errors > 0 {
-        return Err(format!("{total_errors} request(s) errored during the ramp"));
-    }
+    eprintln!("replayed {} job(s) through {socket}", rows.len());
     Ok(())
 }
